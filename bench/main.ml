@@ -325,6 +325,8 @@ type opttime_row = {
   ot_gated : bool;  (* a paper pipeline: counts toward the speedup/pruning gates *)
   ot_exhaustive : float;  (* exhaustive sequential wall seconds *)
   ot_bb : (int * float) list;  (* jobs -> branch-and-bound wall seconds *)
+  ot_find_exhaustive : float;  (* Find_schedule busy seconds, exhaustive *)
+  ot_find_bb : (int * float) list;  (* jobs -> Find_schedule busy seconds *)
   ot_plans : int;  (* exhaustive plan count *)
   ot_survivors : int;  (* plans surviving the bound *)
   ot_tried : int;
@@ -357,35 +359,42 @@ let opttime_jobs () =
     (match !jobs_flag with Some j -> [ 1; 2; 4; j ] | None -> [ 1; 2; 4 ])
 
 let opttime_measure ?max_size ~gated name paper prog config =
-  let time f =
+  (* Wall seconds, and Find_schedule's busy seconds summed over the domains. *)
+  let measure optimize =
+    let opt_stats = Riot_optimizer.Opt_stats.create () in
     let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    let o = optimize opt_stats in
+    (o, Unix.gettimeofday () -. t0, Atomic.get opt_stats.Riot_optimizer.Opt_stats.find_s)
   in
-  let o_ex, t_ex = time (fun () -> Api.optimize ~jobs:1 ?max_size prog ~config) in
+  let o_ex, t_ex, f_ex =
+    measure (fun opt_stats -> Api.optimize ~opt_stats ~jobs:1 ?max_size prog ~config)
+  in
   let runs =
     List.map
       (fun j ->
-        let o, t =
-          time (fun () -> Api.optimize ~prune:true ~jobs:j ?max_size prog ~config)
+        let o, t, f =
+          measure (fun opt_stats ->
+              Api.optimize ~opt_stats ~prune:true ~jobs:j ?max_size prog ~config)
         in
-        (j, o, t))
+        (j, o, t, f))
       (opttime_jobs ())
   in
   let identical =
-    List.for_all (fun (_, o, _) -> best_signature o = best_signature o_ex) runs
+    List.for_all (fun (_, o, _, _) -> best_signature o = best_signature o_ex) runs
     &&
     match runs with
-    | (_, o1, _) :: rest ->
-        List.for_all (fun (_, o, _) -> bb_signature o = bb_signature o1) rest
+    | (_, o1, _, _) :: rest ->
+        List.for_all (fun (_, o, _, _) -> bb_signature o = bb_signature o1) rest
     | [] -> true
   in
-  let _, o_bb, _ = List.hd runs in
+  let _, o_bb, _, _ = List.hd runs in
   { ot_name = name;
     ot_paper = paper;
     ot_gated = gated;
     ot_exhaustive = t_ex;
-    ot_bb = List.map (fun (j, _, t) -> (j, t)) runs;
+    ot_bb = List.map (fun (j, _, t, _) -> (j, t)) runs;
+    ot_find_exhaustive = f_ex;
+    ot_find_bb = List.map (fun (j, _, _, f) -> (j, f)) runs;
     ot_plans = List.length o_ex.Api.plans;
     ot_survivors = List.length o_bb.Api.plans;
     ot_tried = o_bb.Api.search_stats.Search.candidates_tried;
@@ -434,6 +443,13 @@ let opttime_emit ~variant ~speedup_floor rows =
         r.ot_survivors r.ot_plans r.ot_bound_pruned r.ot_apriori_pruned
         (if r.ot_identical then "yes" else "NO [FAIL]"))
     rows;
+  print_endline "\nFind_schedule busy seconds (summed over domains):";
+  List.iter
+    (fun r ->
+      Printf.printf "%-28s exhaust. %.1f%s\n" r.ot_name r.ot_find_exhaustive
+        (String.concat ""
+           (List.map (fun (j, f) -> Printf.sprintf ", bb j=%d %.1f" j f) r.ot_find_bb)))
+    rows;
   let agg = opttime_aggregate rows 2 in
   Printf.printf
     "\naggregate speedup on the paper pipelines (jobs=2 vs exhaustive seq): %.2fx\n"
@@ -444,7 +460,8 @@ let opttime_emit ~variant ~speedup_floor rows =
     let space = 1 lsl r.ot_opps in
     Printf.sprintf
       "{\"program\": %S, \"paper_seconds\": %s, \"gated\": %b, \
-       \"exhaustive_seconds\": %.3f, %s, \"speedup_jobs2\": %s, \
+       \"exhaustive_seconds\": %.3f, %s, \"find_seconds_exhaustive\": %.3f, \
+       %s, \"speedup_jobs2\": %s, \
        \"plans\": %d, \"survivors\": %d, \"candidates_tried\": %d, \
        \"bound_pruned\": %d, \"apriori_pruned\": %d, \"search_space\": %d, \
        \"identical_best\": %b}"
@@ -453,6 +470,11 @@ let opttime_emit ~variant ~speedup_floor rows =
          (List.map
             (fun (j, t) -> Printf.sprintf "\"bb_seconds_jobs%d\": %.3f" j t)
             r.ot_bb))
+      r.ot_find_exhaustive
+      (String.concat ", "
+         (List.map
+            (fun (j, t) -> Printf.sprintf "\"find_seconds_jobs%d\": %.3f" j t)
+            r.ot_find_bb))
       (match opttime_speedup r 2 with
       | Some s -> Printf.sprintf "%.3f" s
       | None -> "null")

@@ -102,8 +102,8 @@ let sample_with_retries ~fuel p =
 
 (* Sample a point such that, for each name-set in [nonzero], at least one of
    the names is non-zero (needed for rows that must be linearly
-   independent). *)
-let sample_nonzero ~fuel p ~nonzero =
+   independent).  [feas] is the feasibility store of [p]. *)
+let sample_nonzero ~fuel p feas ~nonzero =
   let ok pt =
     List.for_all
       (fun names -> List.exists (fun nm -> List.assoc nm pt <> 0) names)
@@ -116,25 +116,27 @@ let sample_nonzero ~fuel p ~nonzero =
       (* Force non-zero coefficients set by set, backtracking over which
          coefficient of each set is forced and in which direction. *)
       let space = Poly.space p in
-      let candidates cur names =
+      let candidates names =
         List.concat_map
           (fun nm ->
-            [ Poly.add_ge cur (Aff.add_const (Aff.dim space nm) (-1));
-              Poly.add_ge cur (Aff.add_const (Aff.scale (-1) (Aff.dim space nm)) (-1)) ])
+            [ Aff.add_const (Aff.dim space nm) (-1);
+              Aff.add_const (Aff.scale (-1) (Aff.dim space nm)) (-1) ])
           names
       in
-      let rec force cur = function
+      let rec force cur feas = function
         | [] -> sample_with_retries ~fuel cur
         | names :: rest ->
             List.find_map
-              (fun p2 ->
-                if Poly.is_rationally_empty p2 then None else force p2 rest)
-              (candidates cur names)
+              (fun g ->
+                match Poly.Feasible.add ~front:true feas ~eqs:[] ~ges:[ g ] with
+                | None -> None
+                | Some feas -> force (Poly.add_ge cur g) feas rest)
+              (candidates names)
       in
       match nonzero with
       | [] -> None
       | _ ->
-          (match force p nonzero with
+          (match force p feas nonzero with
           | Some pt when ok pt -> Some pt
           | _ -> None))
 
@@ -151,8 +153,9 @@ let classify (ca : Coaccess.t) =
 
 (* --- The main search ----------------------------------------------------- *)
 
-let find ss ~prog ~q ~deps =
+let find ?stats ss ~prog ~q ~deps =
   let fuel = ref sample_fuel in
+  let fm_runs = ref 0 in
   let dtil = Program.max_depth prog in
   let stmts = prog.Program.stmts in
   let u = Sched_space.space ss in
@@ -190,17 +193,20 @@ let find ss ~prog ~q ~deps =
           (fun x ca sign -> Poly.intersect x (Sched_space.equal_const ss ~delta:sign ca))
           x qsr qsr_signs
     in
-    if Poly.is_rationally_empty x then begin
+    (* [x] is the sampling input; [feas] tracks its feasibility component
+       by component, so each added constraint re-checks only what it
+       touches. *)
+    match Poly.Feasible.make ~fm_runs x with
+    | None ->
       Log.debug (fun m -> m "depth %d: constraint system empty" d);
       None
-    end
-    else begin
+    | Some feas ->
       (* Dimensionality constraints, statement by statement (Algorithm 1):
          l = 0 keeps the row inside the span of previous rows, l = 1 forces
          it into their orthogonal complement. *)
       let exception Fail in
       try
-        let x = ref x and choices = ref [] and new_ks = ref [] in
+        let x = ref x and feas = ref feas and choices = ref [] and new_ks = ref [] in
         List.iter
           (fun (s : Stmt.t) ->
             let name = s.Stmt.name in
@@ -234,12 +240,14 @@ let find ss ~prog ~q ~deps =
             in
             let try_l l =
               let eqs = constraint_for l in
-              let x' = List.fold_left Poly.add_eq !x eqs in
-              if Poly.is_rationally_empty x' then None else Some (x', l)
+              match Poly.Feasible.add ~front:true !feas ~eqs ~ges:[] with
+              | None -> None
+              | Some f -> Some (List.fold_left Poly.add_eq !x eqs, f, l)
             in
             match List.find_map try_l options with
-            | Some (x', l) ->
+            | Some (x', f, l) ->
                 x := x';
+                feas := f;
                 choices := (name, l) :: !choices;
                 new_ks := (name, k + l) :: !new_ks
             | None ->
@@ -250,12 +258,13 @@ let find ss ~prog ~q ~deps =
         let remaining =
           List.filter
             (fun dep ->
-              let x' = Poly.intersect !x (Sched_space.strong ss dep) in
-              if Poly.is_rationally_empty x' then true
-              else begin
-                x := x';
-                false
-              end)
+              let c = Sched_space.strong ss dep in
+              match Poly.Feasible.add !feas ~eqs:(Poly.eqs c) ~ges:(Poly.ges c) with
+              | None -> true
+              | Some f ->
+                  x := Poly.intersect !x c;
+                  feas := f;
+                  false)
             st.State.remaining
         in
         (* Statements whose row must be linearly independent need a non-zero
@@ -266,7 +275,7 @@ let find ss ~prog ~q ~deps =
               if l = 1 then Some (Sched_space.loop_coeff_names ss ~stmt:nm) else None)
             !choices
         in
-        match sample_nonzero ~fuel !x ~nonzero with
+        match sample_nonzero ~fuel !x !feas ~nonzero with
         | None ->
             Log.debug (fun m -> m "depth %d: sampling failed for %a with nonzero=[%s]" d Poly.pp !x (String.concat "; " (List.map (String.concat ",") nonzero)));
             None
@@ -291,7 +300,6 @@ let find ss ~prog ~q ~deps =
             in
             Some { State.remaining; ks = !new_ks; prev_rows; rows }
       with Fail -> None
-    end
   in
   (* Constants for the last dimension by topological sort. *)
   let assign_constants (st : State.t) =
@@ -364,16 +372,24 @@ let find ss ~prog ~q ~deps =
         let tails = sign_combos rest in
         List.concat_map (fun t -> [ 1 :: t; -1 :: t ]) tails
   in
-  if dtil = 0 then assign_constants init
-  else
-    try
-      List.find_map
-        (fun qsr_signs ->
-          Log.debug (fun m -> m "trying sign combo");
-          run init 1 ~qsr_signs)
-        (sign_combos qsr)
-    with Out_of_fuel ->
-      Log.warn (fun m ->
-          m "sampling budget exhausted for {%s}; candidate dropped"
-            (String.concat ", " (List.map Coaccess.label q)));
-      None
+  let bump counter k =
+    Option.iter (fun s -> ignore (Atomic.fetch_and_add (counter s) k)) stats
+  in
+  let result =
+    if dtil = 0 then assign_constants init
+    else
+      try
+        List.find_map
+          (fun qsr_signs ->
+            Log.debug (fun m -> m "trying sign combo");
+            run init 1 ~qsr_signs)
+          (sign_combos qsr)
+      with Out_of_fuel ->
+        Log.warn (fun m ->
+            m "sampling budget exhausted for {%s}; candidate dropped"
+              (String.concat ", " (List.map Coaccess.label q)));
+        bump (fun s -> s.Opt_stats.fuel_outs) 1;
+        None
+  in
+  bump (fun s -> s.Opt_stats.fm_runs) !fm_runs;
+  result

@@ -11,6 +11,12 @@ type t = {
   pruned_apriori : int Atomic.t;  (** cut by an infeasible immediate subset *)
   rejected_verify : int Atomic.t;  (** no schedule found / concrete check failed *)
   costed : int Atomic.t;  (** full [Cplan] builds *)
+  fm_runs : int Atomic.t;
+      (** Fourier–Motzkin runs on single constraint components by
+          [Find_schedule]'s feasibility checks *)
+  fuel_outs : int Atomic.t;
+      (** [Find_schedule] calls that ran out of sampling fuel; the candidate
+          is dropped as if no schedule existed *)
   bound_s : float Atomic.t;
   find_s : float Atomic.t;
   verify_s : float Atomic.t;

@@ -157,7 +157,7 @@ let branch_and_bound ?(verify = true) ?max_size ?pool ?jobs ?budget ?opt_stats ~
         let q = List.map (fun i -> opportunities.(i)) s in
         match
           Opt_stats.time ostats Opt_stats.Find (fun () ->
-              Find_schedule.find ss ~prog ~q ~deps)
+              Find_schedule.find ~stats:ostats ss ~prog ~q ~deps)
         with
         | None -> Infeasible
         | Some sched ->

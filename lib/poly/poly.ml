@@ -81,44 +81,89 @@ let norm_ge ~tighten aff =
         { aff with Aff.coeffs = Array.map (fun c -> c / g) aff.Aff.coeffs;
                    Aff.const = aff.Aff.const / g }
 
-let key aff = (Array.to_list aff.Aff.coeffs, aff.Aff.const)
-let coeff_key aff = Array.to_list aff.Aff.coeffs
+(* Dedup tables keyed by whole constraint rows.  The polymorphic
+   [Hashtbl.hash] reads only the first few words of a key, so in the wide
+   schedule spaces rows that differ only past their first ~10 coefficients
+   all collide.  This hash mixes every coefficient, and folds high bits back
+   down at each step: table indices read the low bits, and a bare
+   multiply-add such as [h * 31 + c] leaves them depending on few inputs
+   (31 is -1 modulo 16, so power-of-two tables collapse into a few
+   buckets). *)
+let hash_row init (a : int array) =
+  let h = ref init in
+  for i = 0 to Array.length a - 1 do
+    let x = (!h + a.(i)) * 0x2127599bf4325c37 in
+    h := x lxor (x lsr 29)
+  done;
+  !h land max_int
 
-let simplify_exn ?(tighten = true) t =
-  let eqs = List.filter_map (norm_eq ~tighten) t.eqs in
-  let ges = List.filter_map (norm_ge ~tighten) t.ges in
-  (* Dedup equalities. *)
-  let tbl = Hashtbl.create 16 in
-  let eqs =
-    List.filter
-      (fun a ->
-        let k = key a in
-        if Hashtbl.mem tbl k then false else (Hashtbl.add tbl k (); true))
-      eqs
-  in
-  (* For inequalities sharing a coefficient vector keep only the strongest
-     (smallest constant); detect opposite pairs that form an equality. *)
-  let best : (int list, int) Hashtbl.t = Hashtbl.create 16 in
+let equal_row (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
+
+(* Rows keyed by coefficients alone (the inequality dedup) ... *)
+module Coeff_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = equal_row
+  let hash = hash_row 0
+end)
+
+(* ... and by coefficients and constant (the equality dedup). *)
+module Row_tbl = Hashtbl.Make (struct
+  type t = Aff.t
+
+  let equal (a : Aff.t) (b : Aff.t) =
+    a.Aff.const = b.Aff.const && equal_row a.Aff.coeffs b.Aff.coeffs
+
+  let hash (a : Aff.t) = hash_row a.Aff.const a.Aff.coeffs
+end)
+
+(* Keep the first occurrence of every equality. *)
+let dedup_eqs eqs =
+  let seen = Row_tbl.create 16 in
+  List.filter
+    (fun a ->
+      if Row_tbl.mem seen a then false
+      else begin
+        Row_tbl.add seen a ();
+        true
+      end)
+    eqs
+
+(* The smallest constant of every inequality coefficient vector. *)
+let strongest ges =
+  let best = Coeff_tbl.create 16 in
   List.iter
     (fun a ->
-      let k = coeff_key a in
-      match Hashtbl.find_opt best k with
+      match Coeff_tbl.find_opt best a.Aff.coeffs with
       | Some c when c <= a.Aff.const -> ()
-      | _ -> Hashtbl.replace best k a.Aff.const)
+      | _ -> Coeff_tbl.replace best a.Aff.coeffs a.Aff.const)
     ges;
+  best
+
+let simplify_exn ?(tighten = true) t =
+  let eqs = dedup_eqs (List.filter_map (norm_eq ~tighten) t.eqs) in
+  let ges = List.filter_map (norm_ge ~tighten) t.ges in
+  (* For inequalities sharing a coefficient vector keep only the strongest
+     (smallest constant); detect opposite pairs that form an equality. *)
+  let best = strongest ges in
   let promoted = ref [] in
   let ges =
     List.filter_map
       (fun a ->
-        let k = coeff_key a in
-        match Hashtbl.find_opt best k with
+        let k = a.Aff.coeffs in
+        match Coeff_tbl.find_opt best k with
         | Some c when c = a.Aff.const ->
-            Hashtbl.remove best k;
+            Coeff_tbl.remove best k;
             (* Opposite direction present with exactly opposite constant? *)
-            let nk = coeff_key (Aff.neg a) in
-            (match Hashtbl.find_opt best nk with
+            let nk = Array.map C.neg k in
+            (match Coeff_tbl.find_opt best nk with
             | Some nc when nc = -a.Aff.const ->
-                Hashtbl.remove best nk;
+                Coeff_tbl.remove best nk;
                 promoted := a :: !promoted;
                 None
             | _ -> Some a)
@@ -143,38 +188,18 @@ let is_obviously_empty t =
    so it is cheap enough to run after every projection step; repeated
    eliminations otherwise multiply near-identical rows. *)
 let compact t =
-  let seen = Hashtbl.create 16 in
-  let eqs =
-    List.filter
-      (fun a ->
-        let k = key a in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      t.eqs
-  in
-  let best : (int list, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let k = coeff_key a in
-      match Hashtbl.find_opt best k with
-      | Some c when c <= a.Aff.const -> ()
-      | _ -> Hashtbl.replace best k a.Aff.const)
-    t.ges;
+  let best = strongest t.ges in
   let ges =
     List.filter
       (fun a ->
-        let k = coeff_key a in
-        match Hashtbl.find_opt best k with
+        match Coeff_tbl.find_opt best a.Aff.coeffs with
         | Some c when c = a.Aff.const ->
-            Hashtbl.remove best k;
+            Coeff_tbl.remove best a.Aff.coeffs;
             true
         | _ -> false)
       t.ges
   in
-  { t with eqs; ges }
+  { t with eqs = dedup_eqs t.eqs; ges }
 
 exception Fm_budget_exceeded
 
@@ -272,63 +297,6 @@ let rename t mapping =
 
 (* --- Emptiness, sampling, enumeration ---------------------------------- *)
 
-(* Connected components of the constraint graph: dimensions coupled by a
-   common constraint. Emptiness factorises over components, which keeps
-   Fourier-Motzkin elimination local (the schedule-coefficient spaces of the
-   optimizer couple statements only pairwise). *)
-let split_components t =
-  let n = Space.dim t.space in
-  if n = 0 then [ t ]
-  else begin
-    let parent = Array.init n Fun.id in
-    let rec find i =
-      if parent.(i) = i then i
-      else begin
-        parent.(i) <- find parent.(i);
-        parent.(i)
-      end
-    in
-    let union i j =
-      let ri = find i and rj = find j in
-      if ri <> rj then parent.(ri) <- rj
-    in
-    let touch (a : Aff.t) =
-      let first = ref (-1) in
-      Array.iteri
-        (fun i c ->
-          if c <> 0 then
-            if !first < 0 then first := i else union !first i)
-        a.Aff.coeffs
-    in
-    List.iter touch t.eqs;
-    List.iter touch t.ges;
-    let groups = Hashtbl.create 8 in
-    for i = 0 to n - 1 do
-      let r = find i in
-      Hashtbl.replace groups r (i :: Option.value ~default:[] (Hashtbl.find_opt groups r))
-    done;
-    let involves (a : Aff.t) dims = List.exists (fun i -> a.Aff.coeffs.(i) <> 0) dims in
-    let comps =
-      Hashtbl.fold
-        (fun _ dims acc ->
-          let names = List.map (Space.name t.space) dims in
-          let sub = Space.of_names names in
-          let keep l = List.filter (fun a -> involves a dims) l in
-          { space = sub;
-            eqs = List.map (Aff.cast sub) (keep t.eqs);
-            ges = List.map (Aff.cast sub) (keep t.ges) }
-          :: acc)
-        groups []
-    in
-    (* Constant-only constraints belong to no component; give them a home. *)
-    let consts =
-      { space = Space.of_names [];
-        eqs = List.filter Aff.is_constant t.eqs |> List.map (Aff.cast (Space.of_names []));
-        ges = List.filter Aff.is_constant t.ges |> List.map (Aff.cast (Space.of_names [])) }
-    in
-    if consts.eqs = [] && consts.ges = [] then comps else consts :: comps
-  end
-
 (* Fourier-Motzkin emptiness is double-exponential in the worst case: each
    elimination can square the inequality count.  Past this many inequalities
    in an intermediate system we give up on the component and conservatively
@@ -337,52 +305,180 @@ let split_components t =
    whatever sampling or verification follows). *)
 let fm_inequality_budget = 4000
 
-let is_rationally_empty t =
-  let t = simplify ~tighten:false t in
-  if is_obviously_empty t then true
-  else
-    (* Greedy elimination order: always the dimension whose pos*neg
-       inequality product is smallest, which delays the blow-up FM is prone
-       to under a fixed order. *)
-    let eliminate_all c =
-      let rec go c names =
-        if is_obviously_empty c then true
-        else
-          match names with
-          | [] -> false
-          | _ ->
-              let cost nm =
-                let i = Space.index c.space nm in
-                let pos = ref 0 and neg = ref 0 and eq = ref false in
-                List.iter
-                  (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true)
-                  c.eqs;
-                List.iter
-                  (fun (a : Aff.t) ->
-                    if a.Aff.coeffs.(i) > 0 then incr pos
-                    else if a.Aff.coeffs.(i) < 0 then incr neg)
-                  c.ges;
-                if !eq then -1 else !pos * !neg
-              in
-              let best =
-                List.fold_left
-                  (fun (bn, bc) nm ->
-                    let cn = cost nm in
-                    if cn < bc then (nm, cn) else (bn, bc))
-                  (List.hd names, cost (List.hd names))
-                  (List.tl names)
-                |> fst
-              in
-              go
-                (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false
-                   c best)
-                (List.filter (fun nm -> nm <> best) names)
-      in
-      go c (Space.names c.space)
+(* Rational emptiness of one simplified, connected system by FM.  Greedy
+   elimination order: always the dimension whose pos*neg inequality product
+   is smallest, which delays the blow-up FM is prone to under a fixed
+   order. *)
+let fm_empty c =
+  let rec go c names =
+    if is_obviously_empty c then true
+    else
+      match names with
+      | [] -> false
+      | _ ->
+          let cost nm =
+            let i = Space.index c.space nm in
+            let pos = ref 0 and neg = ref 0 and eq = ref false in
+            List.iter
+              (fun (a : Aff.t) -> if a.Aff.coeffs.(i) <> 0 then eq := true)
+              c.eqs;
+            List.iter
+              (fun (a : Aff.t) ->
+                if a.Aff.coeffs.(i) > 0 then incr pos
+                else if a.Aff.coeffs.(i) < 0 then incr neg)
+              c.ges;
+            if !eq then -1 else !pos * !neg
+          in
+          let best =
+            List.fold_left
+              (fun (bn, bc) nm ->
+                let cn = cost nm in
+                if cn < bc then (nm, cn) else (bn, bc))
+              (List.hd names, cost (List.hd names))
+              (List.tl names)
+            |> fst
+          in
+          go
+            (eliminate_one ~combo_budget:fm_inequality_budget ~tighten:false c
+               best)
+            (List.filter (fun nm -> nm <> best) names)
+  in
+  try go c (Space.names c.space) with Fm_budget_exceeded -> false
+
+(* A constraint of a system, tagged with its position in the system's
+   equality or inequality list. *)
+type row = { seq : int; aff : Aff.t }
+
+(* Emptiness of one connected component of a system: [dims] (ascending
+   indices into [space]) and the component's rows in system order.  This is
+   exactly the check the whole system gives the component.  [simplify] only
+   merges rows with equal or opposite coefficient vectors, which share their
+   support, so the component's rows simplified alone, over its dimensions in
+   ascending order, are the whole system's simplified rows restricted to it
+   (signs and order included).  FM then runs over the dimensions in
+   descending order, the order the greedy elimination has always broken
+   ties in. *)
+let component_empty space dims eqs ges =
+  let dims = Array.of_list dims in
+  let k = Array.length dims in
+  let names = Array.to_list (Array.map (Space.name space) dims) in
+  let asc = Space.of_names names and desc = Space.of_names (List.rev names) in
+  let project r =
+    { r.aff with Aff.space = asc; coeffs = Array.init k (fun j -> r.aff.Aff.coeffs.(dims.(j))) }
+  in
+  let c =
+    simplify ~tighten:false { space = asc; eqs = List.map project eqs; ges = List.map project ges }
+  in
+  let flip (a : Aff.t) =
+    { a with Aff.space = desc; coeffs = Array.init k (fun j -> a.Aff.coeffs.(k - 1 - j)) }
+  in
+  fm_empty { space = desc; eqs = List.map flip c.eqs; ges = List.map flip c.ges }
+
+type poly = t
+
+module Feasible = struct
+  module Dims = Map.Make (Int)
+
+  (* Rows over a set of dimensions (ascending), each list sorted by
+     position: a connected component of the store, or a piece of one being
+     merged. *)
+  type comp = { dims : int list; ceqs : row list; cges : row list }
+
+  type t = {
+    space : Space.t;
+    owner : comp Dims.t;  (* every constrained dimension -> its component *)
+    front : int;  (* position of the next prepended row (counts down) *)
+    back : int;  (* position of the next appended row (counts up) *)
+    fm_runs : int ref option;
+  }
+
+  let add ?(front = false) s ~eqs ~ges =
+    (* Each new row as a one-row piece over its support, tagged with its
+       position in the system. *)
+    let as_pieces eq rows =
+      List.mapi
+        (fun i aff ->
+          let r = { seq = (if front then s.front - i else s.back + i); aff } in
+          let dims = ref [] in
+          Array.iteri (fun d c -> if c <> 0 then dims := d :: !dims) aff.Aff.coeffs;
+          { dims = List.rev !dims;
+            ceqs = (if eq then [ r ] else []);
+            cges = (if eq then [] else [ r ]) })
+        rows
     in
-    List.exists
-      (fun c -> try eliminate_all c with Fm_budget_exceeded -> false)
-      (split_components t)
+    let width = max (List.length eqs) (List.length ges) in
+    let s =
+      if front then { s with front = s.front - width } else { s with back = s.back + width }
+    in
+    let consts, rows =
+      List.partition (fun p -> p.dims = []) (as_pieces true eqs @ as_pieces false ges)
+    in
+    (* Constant rows belong to no component: check them on the spot. *)
+    let holds p =
+      List.for_all (fun r -> r.aff.Aff.const = 0) p.ceqs
+      && List.for_all (fun r -> r.aff.Aff.const >= 0) p.cges
+    in
+    if not (List.for_all holds consts) then None
+    else begin
+      (* Merge the new rows with the components they touch, by union-find
+         over dimensions, and re-check each merged component alone. *)
+      let least c = List.hd c.dims in
+      let touched =
+        List.concat_map (fun p -> List.filter_map (fun d -> Dims.find_opt d s.owner) p.dims) rows
+        |> List.sort_uniq (fun a b -> Int.compare (least a) (least b))
+      in
+      let parent = Hashtbl.create 16 in
+      let rec find d =
+        match Hashtbl.find_opt parent d with
+        | Some e when e <> d ->
+            let r = find e in
+            Hashtbl.replace parent d r;
+            r
+        | _ -> d
+      in
+      let pieces = touched @ rows in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun d ->
+              let a = find (least p) and b = find d in
+              if a <> b then Hashtbl.replace parent a b)
+            p.dims)
+        pieces;
+      let groups = Hashtbl.create 8 in
+      List.iter
+        (fun p ->
+          let g = find (least p) in
+          Hashtbl.replace groups g (p :: Option.value ~default:[] (Hashtbl.find_opt groups g)))
+        pieces;
+      let by_seq rows = List.sort (fun a b -> Int.compare a.seq b.seq) (List.concat rows) in
+      let merged =
+        Hashtbl.fold
+          (fun _ ps acc ->
+            { dims = List.sort_uniq Int.compare (List.concat_map (fun p -> p.dims) ps);
+              ceqs = by_seq (List.map (fun p -> p.ceqs) ps);
+              cges = by_seq (List.map (fun p -> p.cges) ps) }
+            :: acc)
+          groups []
+        |> List.sort (fun a b -> Int.compare (least a) (least b))
+      in
+      let rec check owner = function
+        | [] -> Some { s with owner }
+        | c :: rest ->
+            Option.iter incr s.fm_runs;
+            if component_empty s.space c.dims c.ceqs c.cges then None
+            else check (List.fold_left (fun owner d -> Dims.add d c owner) owner c.dims) rest
+      in
+      check s.owner merged
+    end
+
+  let make ?fm_runs (p : poly) =
+    add
+      { space = p.space; owner = Dims.empty; front = -1; back = 0; fm_runs }
+      ~eqs:p.eqs ~ges:p.ges
+end
+
+let is_rationally_empty t = Option.is_none (Feasible.make t)
 
 (* Levels for bound descent: [levels.(k)] only constrains dims 0..k.
    [fm_budget], when given, caps the pos*neg combination count of every

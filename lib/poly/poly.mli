@@ -70,15 +70,54 @@ val renamed_names : who:string -> Space.t -> (string * string) list -> string li
     collisions ([who] labels the raised error; shared with {!Union.rename}).
     @raise Invalid_argument when the mapping collides two dimensions. *)
 
-val split_components : t -> t list
-(** Split into independent sub-polyhedra over the connected components of the
-    constraint graph (dimensions linked by a common constraint); constraints
-    mentioning no dimension form their own component over the empty space.
-    Emptiness and sampling factorise over the result. *)
-
 val is_rationally_empty : t -> bool
-(** No rational points (exact over the rationals; checked per connected
-    component). *)
+(** No rational points (exact over the rationals, up to the Fourier–Motzkin
+    budget below; checked per connected component of the constraint graph,
+    i.e. per set of dimensions linked by common constraints).  A component
+    whose elimination would pass 4000 intermediate inequalities is given up
+    on and counts as non-empty.  The same check as a fresh {!Feasible}
+    store. *)
+
+type poly := t
+
+(** An incremental rational-feasibility check: a system of constraints,
+    kept as its connected components, every one known non-empty.
+
+    Schedule search grows one system a few constraints at a time and asks
+    after each step whether it is still feasible.  {!is_rationally_empty}
+    re-simplifies and re-eliminates the whole system every time, although
+    almost every component is one whose answer is already known.  A store
+    re-checks only what the new constraints touch: [add] merges the
+    components the new rows mention, splits the merged rows into their true
+    connected components, and runs Fourier–Motzkin on those alone.  An
+    untouched component is never looked at again, so a step costs one
+    elimination over the components it touches instead of one over the
+    whole system.  A store is a persistent value: extending it leaves the
+    original usable, so a search can branch from it.
+
+    Answers are identical to {!is_rationally_empty} of the whole system.
+    Components share no dimension and [simplify] only merges rows with the
+    same (or opposite) coefficient vector, so the system is empty exactly
+    when some component is, and each component's elimination depends only on
+    its own rows.  The store also keeps the rows in the order the
+    whole system lists them: Fourier–Motzkin substitutes the first unit
+    equality it finds, so order can decide whether an elimination passes the
+    budget; keeping that order makes the budget give-ups agree too. *)
+module Feasible : sig
+  type t
+
+  val make : ?fm_runs:int ref -> poly -> t option
+  (** The store of a system, or [None] when it is rationally empty.
+      [fm_runs], shared by every store built from this one, counts the
+      component eliminations run. *)
+
+  val add : ?front:bool -> t -> eqs:Aff.t list -> ges:Aff.t list -> t option
+  (** The store of the system with [eqs] ([= 0]) and [ges] ([>= 0]) added,
+      or [None] when that system is rationally empty.  By default the rows
+      are appended, as by {!intersect} with [of_constraints ~eqs ~ges];
+      [~front:true] prepends them one by one, as folding {!add_eq} and
+      {!add_ge} over them does. *)
+end
 
 val is_integrally_empty :
   ?range:int -> ?on_truncate:(string -> unit) -> t -> bool

@@ -156,6 +156,29 @@ let test_opt_stats_exhaustive () =
   check_int "pruned_bound" 0 (get opt_stats.pruned_bound);
   check_bool "non-trivial walk" true (s.Search.candidates_tried > 0)
 
+(* Find_schedule's counters are facts about each candidate, so every pool
+   size counts the same; and the paper pipelines never run out of sampling
+   fuel. *)
+let test_find_counters () =
+  let counters ?max_size prog config jobs =
+    let opt_stats = Riot_optimizer.Opt_stats.create () in
+    ignore (Api.optimize ~opt_stats ~prune:true ?max_size ~jobs prog ~config);
+    (Atomic.get opt_stats.fm_runs, Atomic.get opt_stats.fuel_outs)
+  in
+  let check_int = Alcotest.(check int) in
+  List.iter
+    (fun (name, max_size, prog, config) ->
+      let fm1, fuel1 = counters ?max_size prog config 1 in
+      let fm2, fuel2 = counters ?max_size prog config 2 in
+      check_int (name ^ ": fm_runs jobs=2 = jobs=1") fm1 fm2;
+      check_int (name ^ ": fuel_outs jobs=2 = jobs=1") fuel1 fuel2;
+      check_int (name ^ ": no fuel-outs") 0 fuel1;
+      check_bool (name ^ ": eliminations counted") true (fm1 > 0))
+    [ ("add_mul", None, Programs.add_mul (), Programs.table2);
+      ("two_matmuls k<=2", Some 2, Programs.two_matmuls (), Programs.table3_config_a);
+      ( "linear_regression k<=2", Some 2, Programs.linear_regression (),
+        Programs.table4 ) ]
+
 let qcheck_bb =
   let open Test_random_programs in
   [ QCheck.Test.make
@@ -197,5 +220,7 @@ let suite =
         test_opt_stats_exhaustive;
       Alcotest.test_case "budget monotonicity" `Quick test_budget_monotone;
       Alcotest.test_case "interrupted budget returns valid plan" `Quick
-        test_budget_interrupted_valid ]
+        test_budget_interrupted_valid;
+      Alcotest.test_case "find counters equal across jobs" `Quick
+        test_find_counters ]
     @ List.map QCheck_alcotest.to_alcotest (qcheck_parallel @ qcheck_bb) )

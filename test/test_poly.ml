@@ -518,6 +518,163 @@ let test_count_rationally_empty () =
   | Some c -> check_bool "zero" true (Pl.is_zero c)
   | None -> Alcotest.fail "expected a count"
 
+(* --- Incremental feasibility (Poly.Feasible) ----------------------------- *)
+
+(* A system grown batch by batch must get the answer of the whole system
+   after every batch.  Rows are sparse (one to three of six dimensions), so
+   systems fall into several components and batches bridge them; a
+   contradiction batch makes the system empty; a crowd of two-dimension rows
+   over [g0, g1] passes the Fourier-Motzkin budget, so the give-up answer is
+   compared too. *)
+let feas_space =
+  sp [ "d0"; "d1"; "d2"; "d3"; "d4"; "d5"; "g0"; "g1" ]
+
+type feas_batch = { front : bool; beqs : Aff.t list; bges : Aff.t list }
+
+(* 200 inequalities over [g0, g1] with both signs on each: thousands of
+   pos*neg pairs on either dimension, past the FM budget. *)
+let feas_crowd =
+  let open QCheck.Gen in
+  list_repeat 200
+    (triple (int_range (-9) 9) (int_range (-9) 9) (int_range (-20) 20)
+    |> map (fun (a, b, c) ->
+           aff feas_space ~c [ ("g0", if a = 0 then 1 else a); ("g1", if b = 0 then -1 else b) ]))
+
+let feas_gen =
+  let open QCheck.Gen in
+  let small = [ "d0"; "d1"; "d2"; "d3"; "d4"; "d5" ] in
+  let coeff = map (fun c -> if c >= 0 then c + 1 else c) (int_range (-3) 2) in
+  let row =
+    frequency
+      [ (1, map (fun c -> Aff.const feas_space c) (int_range (-1) 1));
+        ( 12,
+          int_range 1 3 >>= fun n ->
+          shuffle_l small >>= fun dims ->
+          list_repeat n coeff >>= fun cs ->
+          int_range (-4) 6 >>= fun c ->
+          return
+            (aff feas_space ~c (List.combine (List.filteri (fun i _ -> i < n) dims) cs)) )
+      ]
+  in
+  let batch =
+    bool >>= fun front ->
+    frequency
+      [ ( 8,
+          pair (list_size (int_range 0 2) row) (list_size (int_range 0 3) row)
+          |> map (fun (beqs, bges) -> { front; beqs; bges }) );
+        ( 2,
+          (* r >= 0 and r <= -1: empty whatever r is. *)
+          row >|= fun r ->
+          { front; beqs = []; bges = [ r; Aff.add_const (Aff.neg r) (-1) ] } );
+        ( 1,
+          pair feas_crowd (list_size (int_range 0 2) row)
+          |> map (fun (c, extra) -> { front; beqs = []; bges = extra @ c }) ) ]
+  in
+  pair
+    (pair (list_size (int_range 0 2) row) (list_size (int_range 0 6) row))
+    (list_size (int_range 1 6) batch)
+
+let feas_print ((eqs, ges), batches) =
+  let rows l = String.concat "; " (List.map (Format.asprintf "%a" Aff.pp) l) in
+  Printf.sprintf "start eqs [%s] ges [%s]\n%s" (rows eqs) (rows ges)
+    (String.concat "\n"
+       (List.map
+          (fun b ->
+            Printf.sprintf "%s eqs [%s] ges [%s]"
+              (if b.front then "front" else "back") (rows b.beqs) (rows b.bges))
+          batches))
+
+let feasible_matches_whole ((eqs, ges), batches) =
+  let p = Poly.of_constraints feas_space ~eqs ~ges in
+  let rec go p store = function
+    | [] -> true
+    | b :: rest ->
+        let p =
+          if b.front then
+            List.fold_left Poly.add_ge (List.fold_left Poly.add_eq p b.beqs) b.bges
+          else Poly.intersect p (Poly.of_constraints feas_space ~eqs:b.beqs ~ges:b.bges)
+        in
+        let store = Poly.Feasible.add ~front:b.front store ~eqs:b.beqs ~ges:b.bges in
+        let whole = Poly.is_rationally_empty p in
+        whole = Option.is_none store
+        && match store with None -> true | Some store -> go p store rest
+  in
+  match Poly.Feasible.make p with
+  | None -> Poly.is_rationally_empty p
+  | Some store -> (not (Poly.is_rationally_empty p)) && go p store batches
+
+let qcheck_feasible =
+  [ QCheck.Test.make ~name:"Feasible.add = is_rationally_empty of the whole"
+      ~count:300
+      (QCheck.make ~print:feas_print feas_gen)
+      feasible_matches_whole ]
+
+(* The crowd alone trips the budget: both paths give up on it identically,
+   even once a contradiction makes it empty. *)
+let test_feasible_give_up () =
+  let crowd = QCheck.Gen.generate1 ~rand:(Random.State.make [| 5 |]) feas_crowd in
+  let p = Poly.of_constraints feas_space ~eqs:[] ~ges:crowd in
+  let bad = aff feas_space [ ("g0", 1); ("g1", 1) ] in
+  let contra = [ bad; Aff.add_const (Aff.neg bad) (-1) ] in
+  let p' = Poly.intersect p (Poly.of_constraints feas_space ~eqs:[] ~ges:contra) in
+  check_bool "whole system gives up (not provably empty)" false
+    (Poly.is_rationally_empty p');
+  match Poly.Feasible.make p with
+  | None -> Alcotest.fail "crowd reported empty"
+  | Some store ->
+      check_bool "store gives up too" true
+        (Option.is_some (Poly.Feasible.add store ~eqs:[] ~ges:contra));
+      check_bool "an unrelated contradiction still empties it" true
+        (Option.is_none
+           (Poly.Feasible.add store ~eqs:[]
+              ~ges:[ aff feas_space [ ("d0", 1) ]; aff feas_space ~c:(-1) [ ("d0", -1) ] ]))
+
+(* The systems of a real schedule search: linear regression's weak
+   dependence constraints, then each strong dependence and each sharing
+   opportunity's equal-time constraint, kept where feasible as
+   [Find_schedule] does; every step agrees with the whole-system check, and
+   both answers occur. *)
+let test_feasible_linreg () =
+  let module Programs = Riot_ops.Programs in
+  let module Deps = Riot_analysis.Deps in
+  let module Sched_space = Riot_optimizer.Sched_space in
+  let prog = Programs.linear_regression () in
+  let analysis =
+    Deps.extract prog ~ref_params:Programs.table4.Riot_ir.Config.params
+  in
+  let ss = Sched_space.make prog in
+  let deps = analysis.Deps.dependences in
+  let x =
+    List.fold_left Poly.intersect
+      (Poly.universe (Sched_space.space ss))
+      (List.map (Sched_space.weak ss) deps)
+  in
+  let fm_runs = ref 0 in
+  match Poly.Feasible.make ~fm_runs x with
+  | None -> Alcotest.fail "weak system reported empty"
+  | Some store ->
+      let kept = ref 0 and dropped = ref 0 in
+      ignore
+        (List.fold_left
+           (fun (x, store) c ->
+             let x' = Poly.intersect x c in
+             let whole = Poly.is_rationally_empty x' in
+             match Poly.Feasible.add store ~eqs:(Poly.eqs c) ~ges:(Poly.ges c) with
+             | None ->
+                 check_bool "empty agrees" true whole;
+                 incr dropped;
+                 (x, store)
+             | Some store' ->
+                 check_bool "non-empty agrees" false whole;
+                 incr kept;
+                 (x', store'))
+           (x, store)
+           (List.map (Sched_space.strong ss) deps
+           @ List.map (Sched_space.equal_zero ss) analysis.Deps.sharing));
+      check_bool "some constraints kept" true (!kept > 0);
+      check_bool "some constraints dropped" true (!dropped > 0);
+      check_bool "eliminations counted" true (!fm_runs > 0)
+
 let suite =
   ( "poly",
     [ Alcotest.test_case "space" `Quick test_space;
@@ -541,5 +698,13 @@ let suite =
       Alcotest.test_case "norm_eq sign dedup" `Quick test_norm_eq_sign_dedup;
       Alcotest.test_case "enumerate one-sided raises" `Quick test_enumerate_one_sided_raises;
       Alcotest.test_case "truncation hook" `Quick test_truncation_hook;
-      Alcotest.test_case "count rationally empty" `Quick test_count_rationally_empty ]
-    @ List.map QCheck_alcotest.to_alcotest (qcheck_poly @ qcheck_counting) )
+      Alcotest.test_case "count rationally empty" `Quick test_count_rationally_empty;
+      Alcotest.test_case "feasible store gives up with the whole" `Quick
+        test_feasible_give_up;
+      Alcotest.test_case "feasible store on linear regression" `Quick
+        test_feasible_linreg ]
+    @ List.map QCheck_alcotest.to_alcotest (qcheck_poly @ qcheck_counting)
+    @ List.map
+        (QCheck_alcotest.to_alcotest
+           ~rand:(Random.State.make [| Riot_ops.Rand_prog.master_seed () |]))
+        qcheck_feasible )
